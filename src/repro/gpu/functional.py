@@ -104,6 +104,89 @@ def int_shift_amount(word):
     return amount
 
 
+def _f2i(a):
+    value = word_to_float(a)
+    if math.isnan(value):
+        return 0
+    clamped = max(min(value, 2147483647.0), -2147483648.0)
+    return from_signed(int(clamped))
+
+
+def _shl(a, b):
+    amount = int_shift_amount(b)
+    return (a << amount) & MASK32 if amount < 32 else 0
+
+
+def _shr(a, b):
+    amount = int_shift_amount(b)
+    return (a & MASK32) >> amount if amount < 32 else 0
+
+
+def _sfu(op):
+    return lambda a, b, c, cmp_op: (sfu_function(op, a), None)
+
+
+#: Op -> scalar model ``(a, b, c, cmp_op) -> (result_word, pred_value)``.
+_ARITH = {
+    Op.IADD: lambda a, b, c, cmp_op: (
+        from_signed(to_signed(a) + to_signed(b)), None),
+    Op.ISUB: lambda a, b, c, cmp_op: (
+        from_signed(to_signed(a) - to_signed(b)), None),
+    Op.IMUL: lambda a, b, c, cmp_op: (
+        from_signed(to_signed(a) * to_signed(b)), None),
+    Op.IMAD: lambda a, b, c, cmp_op: (
+        from_signed(to_signed(a) * to_signed(b) + to_signed(c)), None),
+    Op.IMIN: lambda a, b, c, cmp_op: (
+        (a if to_signed(a) < to_signed(b) else b), None),
+    Op.IMAX: lambda a, b, c, cmp_op: (
+        (a if to_signed(a) > to_signed(b) else b), None),
+    Op.AND: lambda a, b, c, cmp_op: (a & b, None),
+    Op.OR: lambda a, b, c, cmp_op: (a | b, None),
+    Op.XOR: lambda a, b, c, cmp_op: (a ^ b, None),
+    Op.NOT: lambda a, b, c, cmp_op: ((~a) & MASK32, None),
+    Op.SHL: lambda a, b, c, cmp_op: (_shl(a, b), None),
+    Op.SHR: lambda a, b, c, cmp_op: (_shr(a, b), None),
+    Op.ISET: lambda a, b, c, cmp_op: (
+        (MASK32 if compare_int(cmp_op, a, b) else 0), None),
+    Op.ISETP: lambda a, b, c, cmp_op: (0, compare_int(cmp_op, a, b)),
+    Op.FADD: lambda a, b, c, cmp_op: (
+        float_to_word(word_to_float(a) + word_to_float(b)), None),
+    Op.FMUL: lambda a, b, c, cmp_op: (
+        float_to_word(word_to_float(a) * word_to_float(b)), None),
+    Op.FMAD: lambda a, b, c, cmp_op: (
+        float_to_word(word_to_float(a) * word_to_float(b)
+                      + word_to_float(c)), None),
+    Op.FSET: lambda a, b, c, cmp_op: (
+        (MASK32 if compare_float(cmp_op, a, b) else 0), None),
+    Op.F2I: lambda a, b, c, cmp_op: (_f2i(a), None),
+    Op.I2F: lambda a, b, c, cmp_op: (
+        float_to_word(float(to_signed(a))), None),
+    Op.MOV: lambda a, b, c, cmp_op: (a, None),
+    Op.MOV32I: lambda a, b, c, cmp_op: (b, None),
+}
+for _op in (Op.RCP, Op.RSQ, Op.SIN, Op.COS, Op.LG2, Op.EX2):
+    _ARITH[_op] = _sfu(_op)
+for _op, _base in ((Op.IADD32I, Op.IADD), (Op.IMUL32I, Op.IMUL),
+                   (Op.AND32I, Op.AND), (Op.OR32I, Op.OR),
+                   (Op.XOR32I, Op.XOR), (Op.SHL32I, Op.SHL),
+                   (Op.SHR32I, Op.SHR), (Op.FADD32I, Op.FADD),
+                   (Op.FMUL32I, Op.FMUL)):
+    _ARITH[_op] = _ARITH[_base]
+
+
+def arith_function(op):
+    """The scalar model of *op*: ``(a, b, c, cmp_op) -> (result_word,
+    pred_value)``, as :func:`execute_arith` applies it.
+
+    Raises :class:`SimulationError` for ops it does not handle (memory,
+    control, SEL and S2R).
+    """
+    function = _ARITH.get(op)
+    if function is None:
+        raise SimulationError("{} is not handled by execute_arith".format(op))
+    return function
+
+
 def execute_arith(instr, a, b, c, cmp_op):
     """Execute one arithmetic/logic/FP/SFU instruction for one thread.
 
@@ -117,58 +200,4 @@ def execute_arith(instr, a, b, c, cmp_op):
         (result_word, pred_value) — *pred_value* is None unless the
         instruction defines a predicate.
     """
-    op = instr.op
-    if op in (Op.IADD, Op.IADD32I):
-        return from_signed(to_signed(a) + to_signed(b)), None
-    if op is Op.ISUB:
-        return from_signed(to_signed(a) - to_signed(b)), None
-    if op in (Op.IMUL, Op.IMUL32I):
-        return from_signed(to_signed(a) * to_signed(b)), None
-    if op is Op.IMAD:
-        return from_signed(to_signed(a) * to_signed(b) + to_signed(c)), None
-    if op is Op.IMIN:
-        return (a if to_signed(a) < to_signed(b) else b), None
-    if op is Op.IMAX:
-        return (a if to_signed(a) > to_signed(b) else b), None
-    if op in (Op.AND, Op.AND32I):
-        return a & b, None
-    if op in (Op.OR, Op.OR32I):
-        return a | b, None
-    if op in (Op.XOR, Op.XOR32I):
-        return a ^ b, None
-    if op is Op.NOT:
-        return (~a) & MASK32, None
-    if op in (Op.SHL, Op.SHL32I):
-        amount = int_shift_amount(b)
-        return (a << amount) & MASK32 if amount < 32 else 0, None
-    if op in (Op.SHR, Op.SHR32I):
-        amount = int_shift_amount(b)
-        return (a & MASK32) >> amount if amount < 32 else 0, None
-    if op is Op.ISET:
-        return (MASK32 if compare_int(cmp_op, a, b) else 0), None
-    if op is Op.ISETP:
-        return 0, compare_int(cmp_op, a, b)
-    if op in (Op.FADD, Op.FADD32I):
-        return float_to_word(word_to_float(a) + word_to_float(b)), None
-    if op in (Op.FMUL, Op.FMUL32I):
-        return float_to_word(word_to_float(a) * word_to_float(b)), None
-    if op is Op.FMAD:
-        return float_to_word(word_to_float(a) * word_to_float(b)
-                             + word_to_float(c)), None
-    if op is Op.FSET:
-        return (MASK32 if compare_float(cmp_op, a, b) else 0), None
-    if op is Op.F2I:
-        value = word_to_float(a)
-        if math.isnan(value):
-            return 0, None
-        clamped = max(min(value, 2147483647.0), -2147483648.0)
-        return from_signed(int(clamped)), None
-    if op is Op.I2F:
-        return float_to_word(float(to_signed(a))), None
-    if op in (Op.RCP, Op.RSQ, Op.SIN, Op.COS, Op.LG2, Op.EX2):
-        return sfu_function(op, a), None
-    if op is Op.MOV:
-        return a, None
-    if op is Op.MOV32I:
-        return b, None
-    raise SimulationError("{} is not handled by execute_arith".format(op))
+    return arith_function(instr.op)(a, b, c, cmp_op)

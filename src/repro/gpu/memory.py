@@ -42,6 +42,30 @@ class WordMemory:
         self.writes += 1
         self._words[address] = value & MASK32
 
+    def load_lanes(self, addresses):
+        """One :meth:`load` per lane address, in lane order."""
+        self._check_lanes(addresses)
+        self.reads += len(addresses)
+        words = self._words
+        return [words.get(address, 0) for address in addresses]
+
+    def store_lanes(self, addresses, values):
+        """One :meth:`store` per lane, in ascending lane order: where lanes
+        share an address, the highest lane's value stays."""
+        if self.read_only:
+            raise SimulationError("{} is read-only".format(self.name))
+        self._check_lanes(addresses)
+        self.writes += len(addresses)
+        self._words.update(zip(addresses,
+                               [value & MASK32 for value in values]))
+
+    def _check_lanes(self, addresses):
+        if addresses and (min(addresses) < 0 or (
+                self.size_words is not None
+                and max(addresses) >= self.size_words)):
+            for address in addresses:  # name the lowest offending lane
+                self._check(address)
+
     def preload(self, image):
         """Initialize contents from an address -> value dict (no counters)."""
         for address, value in image.items():

@@ -3,35 +3,55 @@
 The paper incorporates one hardware monitor in one SM "without any effect on
 the functional operation of the PTP"; it captures instruction opcodes from
 the fetch stage and generates the tracing report (Section III stage 2).
-:class:`Monitor` is that component: the SM calls it at decode and at every
-execute beat, and it fans the events out to the trace-record list and to the
-registered per-module stimulus collectors.
+:class:`Monitor` is that component: the SM calls it at every decode and once
+per executed warp instruction, and it fans the events out to the
+trace-record list and to the registered per-module stimulus collectors.
+A collector receives only the events it overrides the hook of, so the SM
+skips building lane operand lists when no collector consumes execute beats.
 """
 
 from __future__ import annotations
 
+from .stimuli import StimulusCollector
 from .trace import TraceRecord
 
 
 class Monitor:
-    """Collects trace records and per-module stimuli during a kernel run."""
+    """Collects trace records and per-module stimuli during a kernel run.
+
+    Attributes:
+        trace: the :class:`TraceRecord` list, in issue order.
+        collectors: every registered collector.
+        decode_collectors / execute_collectors: the collectors that
+            override :meth:`StimulusCollector.on_decode` /
+            :meth:`StimulusCollector.on_execute`.
+    """
 
     def __init__(self, collectors=()):
         self.trace = []
-        self.collectors = list(collectors)
+        self.collectors = []
+        self.decode_collectors = []
+        self.execute_collectors = []
+        for collector in collectors:
+            self.add_collector(collector)
 
     def add_collector(self, collector):
         self.collectors.append(collector)
+        kind = type(collector)
+        if kind.on_decode is not StimulusCollector.on_decode:
+            self.decode_collectors.append(collector)
+        if kind.on_execute is not StimulusCollector.on_execute:
+            self.execute_collectors.append(collector)
 
-    def on_decode(self, cc, block, warp, pc, instr):
-        for collector in self.collectors:
-            collector.on_decode(cc, block, warp, pc, instr)
+    def on_decode(self, cc, block, warp, pc, instr, word):
+        for collector in self.decode_collectors:
+            collector.on_decode(cc, block, warp, pc, instr, word)
 
-    def on_execute_beat(self, cc, block, warp, lane, pc, instr, operands,
-                        thread):
-        for collector in self.collectors:
-            collector.on_execute_beat(cc, block, warp, lane, pc, instr,
-                                      operands, thread)
+    def on_execute(self, block, warp, pc, instr, ccs, lanes, threads,
+                   operands):
+        for collector in self.execute_collectors:
+            collector.on_execute(block, warp, pc, instr, ccs, lanes, threads,
+                                 operands)
 
     def on_instruction_done(self, block, warp, pc, instr, decode_cc,
                             exec_start_cc, exec_end_cc, active_mask,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa import encoding
 from ..isa.opcodes import Op, Unit
 from ..netlist.modules.sfu import FUNC_CODES
 from ..netlist.modules.sp_core import ISA_TO_SPOP, SPOp
@@ -52,13 +51,12 @@ class StimulusRecord:
         return dict(self.values)
 
 
-def _record(cc, block, warp, lane, pc, values, thread=-1):
-    return StimulusRecord(cc, block, warp, lane, pc,
-                          tuple(sorted(values.items())), thread)
-
-
 class StimulusCollector:
-    """Base class: collects the pattern stream for one target module."""
+    """Base class: collects the pattern stream for one target module.
+
+    Subclasses override the hook(s) they consume; the monitor calls only
+    overridden hooks.
+    """
 
     #: name matching the HardwareModule this collector feeds.
     module_name = None
@@ -66,16 +64,19 @@ class StimulusCollector:
     def __init__(self):
         self.records = []
 
-    def on_decode(self, cc, block, warp, pc, instr):
-        """Called once per instruction decode."""
+    def on_decode(self, cc, block, warp, pc, instr, word):
+        """Called once per instruction decode; *word* is the instruction's
+        64-bit encoding."""
 
-    def on_execute_beat(self, cc, block, warp, lane, pc, instr, operands,
-                        thread):
-        """Called once per executing thread beat.
+    def on_execute(self, block, warp, pc, instr, ccs, lanes, threads,
+                   operands):
+        """Called once per warp instruction that executes on some lane.
 
-        *operands* is the (a, b, c) tuple of resolved 32-bit source values
-        for the thread on *lane* (immediates already substituted); *thread*
-        is the thread id within the block.
+        *ccs*, *lanes* and *threads* hold, per executing lane in ascending
+        lane order, its execute-beat cycle, hardware lane and thread id
+        within the block; *operands* is the ``(a, b, c)`` triple of lists
+        of the lanes' resolved 32-bit source values (immediates already
+        substituted).
         """
 
     def sort_key(self, record):
@@ -92,10 +93,9 @@ class DecoderUnitCollector(StimulusCollector):
 
     module_name = "decoder_unit"
 
-    def on_decode(self, cc, block, warp, pc, instr):
-        word = encoding.encode(instr)
-        self.records.append(_record(cc, block, warp, 0, pc,
-                                    {"instr": word}))
+    def on_decode(self, cc, block, warp, pc, instr, word):
+        self.records.append(StimulusRecord(cc, block, warp, 0, pc,
+                                           (("instr", word),)))
 
 
 class SpCoreCollector(StimulusCollector):
@@ -113,23 +113,23 @@ class SpCoreCollector(StimulusCollector):
         self.mask = (1 << width) - 1
         self.lane_filter = lane_filter
 
-    def on_execute_beat(self, cc, block, warp, lane, pc, instr, operands,
-                        thread):
+    def on_execute(self, block, warp, pc, instr, ccs, lanes, threads,
+                   operands):
         if instr.unit is not Unit.SP:
             return
-        if self.lane_filter is not None and lane != self.lane_filter:
-            return
-        spop = ISA_TO_SPOP.get(instr.op, SPOp.PASS)
+        spop = ISA_TO_SPOP.get(instr.op, SPOp.PASS).value
+        cmp = instr.cmp.value
+        mask, lane_filter = self.mask, self.lane_filter
         a, b, c = operands
         if instr.op is Op.MOV32I:
             a = b  # PASS forwards port a; MOV32I's value arrives as b
-        self.records.append(_record(cc, block, warp, lane, pc, {
-            "op": spop.value,
-            "cmp": instr.cmp.value,
-            "a": a & self.mask,
-            "b": b & self.mask,
-            "c": c & self.mask,
-        }, thread))
+        append = self.records.append
+        # Port values in sorted port-name order (StimulusRecord.values).
+        for cc, lane, thread, x, y, z in zip(ccs, lanes, threads, a, b, c):
+            if lane_filter is None or lane == lane_filter:
+                append(StimulusRecord(cc, block, warp, lane, pc, (
+                    ("a", x & mask), ("b", y & mask), ("c", z & mask),
+                    ("cmp", cmp), ("op", spop)), thread))
 
 
 class SfuCollector(StimulusCollector):
@@ -148,13 +148,13 @@ class SfuCollector(StimulusCollector):
         self.width = width
         self.mask = (1 << width) - 1
 
-    def on_execute_beat(self, cc, block, warp, lane, pc, instr, operands,
-                        thread):
+    def on_execute(self, block, warp, pc, instr, ccs, lanes, threads,
+                   operands):
         func = self._FUNC_BY_OP.get(instr.op)
         if func is None:
             return
-        a, __, __ = operands
-        self.records.append(_record(cc, block, warp, lane, pc, {
-            "func": func,
-            "x": a & self.mask,
-        }, thread))
+        mask = self.mask
+        append = self.records.append
+        for cc, lane, thread, x in zip(ccs, lanes, threads, operands[0]):
+            append(StimulusRecord(cc, block, warp, lane, pc, (
+                ("func", func), ("x", x & mask)), thread))
