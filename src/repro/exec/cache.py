@@ -34,9 +34,11 @@ from ..errors import CacheError
 from ..gpu.stimuli import StimulusRecord
 from ..gpu.trace import TraceRecord
 
-#: Bumped whenever a cached payload's layout changes incompatibly; part of
-#: every key, so a version bump simply stops old entries from being hit.
-FORMAT_VERSION = 1
+#: Bumped whenever a cached payload's layout or meaning changes
+#: incompatibly; part of every key, so a version bump simply stops old
+#: entries from being hit.  2: trace rows record the active mask at issue
+#: (version 1 rows held the mask after a divergent BRA or JOIN switched it).
+FORMAT_VERSION = 2
 
 #: Layout version of the incremental fault-state records stored by
 #: :class:`repro.exec.incremental.IncrementalFaultSim`; part of their key,

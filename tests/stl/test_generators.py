@@ -130,6 +130,20 @@ def test_all_ptps_execute_on_gpu(gpu, du_module, sp_module, sfu_module, imm,
         assert tracing.pattern_report.count > 0
 
 
+def test_trace_exec_mask_within_active_mask(gpu, du_module, sp_module,
+                                            sfu_module, imm, mem, cntrl,
+                                            rand_ptp, tpgen, sfu_imm):
+    """Every trace row's executing lanes are among its lanes active at
+    issue, for all six generators."""
+    modules = {"decoder_unit": du_module, "sp_core": sp_module,
+               "sfu": sfu_module}
+    for ptp in (imm, mem, cntrl, rand_ptp, tpgen[0], sfu_imm[0]):
+        tracing = run_logic_tracing(ptp, modules[ptp.target], gpu=gpu)
+        outside = [r for r in tracing.trace
+                   if r.exec_mask & ~r.active_mask]
+        assert not outside, (ptp.name, outside[:3])
+
+
 def test_tpgen_structure(tpgen, sp_module):
     ptp, atpg = tpgen
     assert ptp.target == "sp_core"
