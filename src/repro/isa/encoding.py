@@ -39,6 +39,16 @@ def _field(value, width, what):
     return value
 
 
+# Format groups of the layout above, bound once: enum member access costs
+# more than the identity tests, and the simulator encodes every decoded pc.
+_CMP_FORMATS = (Fmt.RRC, Fmt.PRC)
+_SREG_FORMAT = Fmt.RSREG
+_IMM32_FORMATS = (Fmt.RRI32, Fmt.RI32)
+_BRANCH_FORMAT = Fmt.BRANCH
+_MEMORY_FORMATS = (Fmt.LD, Fmt.ST, Fmt.CONSTLD)
+_REGISTER_FORMATS = (Fmt.RRR, Fmt.RRRR, Fmt.RRC, Fmt.PRC, Fmt.RSEL)
+
+
 def encode(instr):
     """Encode an :class:`Instruction` into a 64-bit integer word."""
     inf = info(instr.op)
@@ -52,19 +62,19 @@ def encode(instr):
     word |= _field(instr.src_a, 6, "srcA") << 40
 
     fmt = inf.fmt
-    if fmt in (Fmt.RRC, Fmt.PRC):
+    if fmt in _CMP_FORMATS:
         word |= _field(instr.cmp.value, 4, "cmp") << 36
-    elif fmt is Fmt.RSREG:
+    elif fmt is _SREG_FORMAT:
         word |= _field(instr.sreg.value, 4, "sreg") << 36
 
-    if fmt in (Fmt.RRI32, Fmt.RI32):
+    if fmt in _IMM32_FORMATS:
         word |= _field(instr.imm, 32, "imm32")
-    elif fmt is Fmt.BRANCH:
+    elif fmt is _BRANCH_FORMAT:
         word |= _field(instr.target, 24, "target")
-    elif fmt in (Fmt.LD, Fmt.ST, Fmt.CONSTLD):
+    elif fmt in _MEMORY_FORMATS:
         word |= _field(instr.src_b, 6, "srcB") << 30
         word |= _field(instr.imm, 24, "imm24")
-    elif fmt in (Fmt.RRR, Fmt.RRRR, Fmt.RRC, Fmt.PRC, Fmt.RSEL):
+    elif fmt in _REGISTER_FORMATS:
         word |= _field(instr.src_b, 6, "srcB") << 30
         word |= _field(instr.src_c, 6, "srcC") << 24
     # Fmt.RR / Fmt.RSREG / Fmt.NONE: no further fields.
